@@ -31,7 +31,7 @@ import sys
 GATED_KEYS = (
     "plan_exec_fused_arena_seconds",
     "alloc_peak_bytes_fused_arena",
-    "pinned_exec_seconds",
+    "plan_exec_donated_seconds",
     "batch_64_feeds_sharded_seconds",
     "sharded_supervised_seconds",
     "serve_p50_latency_seconds",

@@ -2,10 +2,12 @@
 
 Demonstrates the tentpole claims — compile-once/execute-many beats
 re-interpreting the graph per call, and the fused/arena engine beats the
-plain plan executor — and records the numbers to ``BENCH_runtime.json``
-at the repo root (plan-compile time, cached-exec time, interpreter-exec
-time, per-mode exec times, allocation peaks via ``tracemalloc``, batch
-throughput), which the CI benchmarks jobs upload as artifacts.
+plain plan executor — and records the numbers to
+``.benchmarks/BENCH_runtime.json`` (plan-compile time, cached-exec time,
+interpreter-exec time, per-mode exec times, allocation peaks via
+``tracemalloc``, batch throughput), which the CI benchmarks jobs compare
+against the committed ``BENCH_runtime.json`` baseline and upload as
+artifacts.  Running the suite never rewrites a tracked file.
 
 The workload is deliberately dispatch-bound (many small kernels on small
 operands): that is the regime where per-call graph walking, liveness
@@ -55,6 +57,9 @@ REPS = int(os.environ.get("REPRO_BENCH_REPS", "50"))
 LOOPS = int(os.environ.get("REPRO_BENCH_LOOPS", "12"))
 SHARDS = int(os.environ.get("REPRO_BENCH_SHARDS", "2"))
 ROOT = pathlib.Path(__file__).resolve().parent.parent
+#: Where fresh numbers land (gitignored); the committed baseline at the
+#: repo root is only ever read.
+BENCH_OUT = ROOT / ".benchmarks" / "BENCH_runtime.json"
 
 
 def _dispatch_bound_graph(optimized: bool = True):
@@ -170,6 +175,28 @@ def _machine_ref_seconds():
     return best
 
 
+def _interleaved_rounds(arms, rounds=41, calls=20):
+    """Per-call seconds of each arm, one entry per round: every round
+    times ``calls`` back-to-back calls of each arm in turn."""
+    import time
+
+    for fn in arms.values():
+        fn()  # warm
+    out = {name: [] for name in arms}
+    for _ in range(rounds):
+        for name, fn in arms.items():
+            t0 = time.perf_counter()
+            for _ in range(calls):
+                fn()
+            out[name].append((time.perf_counter() - t0) / calls)
+    return out
+
+
+def _median_ratio(num, den):
+    """Median over rounds of ``num[i] / den[i]``."""
+    return float(np.median(np.asarray(num) / np.asarray(den)))
+
+
 @pytest.fixture(scope="module")
 def timings(workload):
     graph, feeds = workload
@@ -212,34 +239,26 @@ def timings(workload):
         lambda: fused.execute(feeds, record=False, arena=fused_arena),
         label="plan-exec-fused-arena", repetitions=REPS,
     )
+    # "Donated" arms: the same arena runs with layout-matched
+    # (Fortran-ordered) feeds, which the plan's feed rule aliases instead
+    # of staging.  The gated number gets a deeper sample than the
+    # headline metrics: best-of-N only converges below scheduler noise
+    # with a few hundred reps.
     feeds_f = [np.asfortranarray(f) for f in feeds]
     donated_arena = fused.new_arena()
-    fused.execute(feeds_f, record=False, arena=donated_arena, donate=True)
-    # The donated-vs-pinned comparison separates numbers ~10% apart, so
-    # both get a deeper sample than the headline metrics: best-of-N only
-    # converges below scheduler noise with a few hundred reps.
-    fine_reps = max(REPS, 200)
+    fused.execute(feeds_f, record=False, arena=donated_arena)
     donated_exec = measure(
-        lambda: fused.execute(feeds_f, record=False, arena=donated_arena,
-                              donate=True),
-        label="plan-exec-donated", repetitions=fine_reps,
+        lambda: fused.execute(feeds_f, record=False, arena=donated_arena),
+        label="plan-exec-donated", repetitions=max(REPS, 200),
     )
-    # Feed-staging traffic: bytes memcpy'd per call with and without
-    # donation (the donated path must not copy at all).
+    # Feed-staging traffic: bytes memcpy'd per call with staged and with
+    # aliased feeds (the aliased path must not copy at all).
     before = fused_arena.bytes_copied
     fused.execute(feeds, record=False, arena=fused_arena)
     bytes_copied = fused_arena.bytes_copied - before
     before = donated_arena.bytes_copied
-    fused.execute(feeds_f, record=False, arena=donated_arena, donate=True)
+    fused.execute(feeds_f, record=False, arena=donated_arena)
     bytes_copied_donated = donated_arena.bytes_copied - before
-    # Pinned binding: feeds bound once, steady-state calls skip feed
-    # binding and layout checks entirely.
-    pinned_binding = fused.bind_pinned(feeds_f, fused.new_arena())
-    pinned_binding.execute()
-    pinned_exec = measure(
-        pinned_binding.execute, label="plan-exec-pinned",
-        repetitions=fine_reps,
-    )
     batch = measure(
         lambda: execute_batch(plan, [feeds] * 8, workers=4),
         label="batch-8x-4workers", repetitions=10,
@@ -274,40 +293,41 @@ def timings(workload):
     run_threaded64 = lambda: execute_batch(plan, [feeds] * 64, workers=4)
     shard_best = None
     shard_bytes = None
-    if SHARDS > 0:
-        with ShardPool(fused, shards=SHARDS, ring_slots=32,
-                       dtype=np.asarray(feeds[0]).dtype) as pool:
-            pool.run([feeds] * 64)  # warm every worker arena
-            run_threaded64()
-            threaded_best = float("inf")
-            shard_best = float("inf")
-            for _ in range(12):
-                threaded_best = min(threaded_best, _best(run_threaded64, 1))
-                shard_best = min(shard_best,
-                                 _best(lambda: pool.run([feeds] * 64), 1))
-            pool.run([feeds] * 64)
-            # Worker-side staging bytes for a whole 64-feed batch: the
-            # donated shared-memory path must not copy at all.
-            shard_bytes = pool.bytes_copied_last_run
-        batch64_best = threaded_best
-    else:
-        batch64_best = _best(run_threaded64, 10)
     # Supervised sharding (PR 9): the same 64-feed batch through a pool
     # with wave deadlines and respawn armed.  The clean path pays one
     # poll() per wave reply instead of a blocking recv — the gated
-    # number proves supervision is (and stays) nearly free.
+    # ratio proves supervision is (and stays) nearly free.  Both pools
+    # are sampled in the same interleaved rounds as the thread pool.
     supervised_best = None
+    supervised_ratio = None
     recovery_seconds = None
     recovery_hangs = None
     recovery_respawns = None
     if SHARDS > 0:
         from repro import faults as _faults
 
+        dtype = np.asarray(feeds[0]).dtype
         with ShardPool(fused, shards=SHARDS, ring_slots=32,
-                       dtype=np.asarray(feeds[0]).dtype,
-                       respawn=True, wave_deadline=5.0) as pool:
-            pool.run([feeds] * 64)  # warm every worker arena
-            supervised_best = _best(lambda: pool.run([feeds] * 64), 12)
+                       dtype=dtype) as pool, \
+                ShardPool(fused, shards=SHARDS, ring_slots=32, dtype=dtype,
+                          respawn=True, wave_deadline=5.0) as sup_pool:
+            batch64 = _interleaved_rounds({
+                "threaded": run_threaded64,
+                "sharded": lambda: pool.run([feeds] * 64),
+                "supervised": lambda: sup_pool.run([feeds] * 64),
+            }, rounds=15, calls=1)
+            pool.run([feeds] * 64)
+            # Worker-side staging bytes for a whole 64-feed batch: the
+            # shared-memory ring views alias, so nothing is copied.
+            shard_bytes = pool.bytes_copied_last_run
+        batch64_best = min(batch64["threaded"])
+        shard_best = min(batch64["sharded"])
+        supervised_best = min(batch64["supervised"])
+        supervised_ratio = _median_ratio(batch64["supervised"],
+                                         batch64["sharded"])
+    else:
+        batch64_best = _best(run_threaded64, 10)
+    if SHARDS > 0:
         # Hung-worker recovery: worker 0 ignores SIGTERM and sleeps on
         # the first entry of the *measured* run (its warm run consumed
         # hits 1..chunk), so the run pays the full cycle — deadline
@@ -332,44 +352,36 @@ def timings(workload):
     loop_arena = loop_plan.new_arena()
     for _ in range(3):  # warm both child arenas
         loop_plan.execute(loop_feeds, record=False, arena=loop_arena)
-    loop_exec = measure(
-        lambda: loop_plan.execute(loop_feeds, record=False),
-        label="loop-exec", repetitions=REPS,
-    )
-    loop_arena_exec = measure(
-        lambda: loop_plan.execute(loop_feeds, record=False,
-                                  arena=loop_arena),
-        label="loop-exec-arena", repetitions=REPS,
-    )
+    loops = _interleaved_rounds({
+        "per-call": lambda: loop_plan.execute(loop_feeds, record=False),
+        "arena": lambda: loop_plan.execute(loop_feeds, record=False,
+                                           arena=loop_arena),
+    }, calls=5)
     # Structured-matrix workload: destination-aware TRMM + tridiagonal.
     s_graph, s_feeds = _structured_graph()
     s_plan = compile_plan(s_graph, fusion=True)
     s_arena = s_plan.new_arena()
     s_plan.execute(s_feeds, record=False, arena=s_arena)
-    structured_exec = measure(
-        lambda: s_plan.execute(s_feeds, record=False),
-        label="structured-exec", repetitions=REPS,
-    )
-    structured_arena_exec = measure(
-        lambda: s_plan.execute(s_feeds, record=False, arena=s_arena),
-        label="structured-exec-arena", repetitions=REPS,
-    )
-    # Same workload, layout-matched donated feeds (the serving shape):
+    # Same workload, layout-matched "donated" feeds (the serving shape):
     # per-slot orders come from the plan, so the tridiagonal inputs ride
-    # C-contiguous and the TRMM operand Fortran-contiguous.
+    # C-contiguous and the TRMM operand Fortran-contiguous — all aliased.
     s_feeds_ordered = [
         np.asfortranarray(f) if s_plan.slot_orders[spec.slot] == "F"
         else np.ascontiguousarray(f)
         for spec, f in zip(s_plan.inputs, s_feeds)
     ]
     s_donate_arena = s_plan.new_arena()
-    s_plan.execute(s_feeds_ordered, record=False, arena=s_donate_arena,
-                   donate=True)
-    structured_donated_exec = measure(
-        lambda: s_plan.execute(s_feeds_ordered, record=False,
-                               arena=s_donate_arena, donate=True),
-        label="structured-exec-donated", repetitions=REPS,
-    )
+    s_plan.execute(s_feeds_ordered, record=False, arena=s_donate_arena)
+    # The three arms sit within ~10-35% of each other, so they are sampled
+    # as interleaved rounds (machine drift hits every arm of a round
+    # alike) and gated on the median of per-round ratios.
+    structured = _interleaved_rounds({
+        "plain": lambda: s_plan.execute(s_feeds, record=False),
+        "arena": lambda: s_plan.execute(s_feeds, record=False,
+                                        arena=s_arena),
+        "donated": lambda: s_plan.execute(s_feeds_ordered, record=False,
+                                          arena=s_donate_arena),
+    })
     # Fold-aware scheduling: a non-adjacent gemm→add pair that only beta-
     # folds because the scheduler sank the GEMM next to its consumer.
     sink_graph, _ = _sink_graph()
@@ -447,11 +459,12 @@ def timings(workload):
         "plan_exec_arena_seconds": arena_exec.best,
         "plan_exec_fused_arena_seconds": fused_arena_exec.best,
         "plan_exec_donated_seconds": donated_exec.best,
-        "pinned_exec_seconds": pinned_exec.best,
         "bytes_copied_per_call": bytes_copied,
         "bytes_copied_per_call_donated": bytes_copied_donated,
-        "loop_exec_seconds": loop_exec.best,
-        "loop_exec_arena_seconds": loop_arena_exec.best,
+        "loop_exec_seconds": min(loops["per-call"]),
+        "loop_exec_arena_seconds": min(loops["arena"]),
+        "loop_arena_over_per_call_median_ratio": _median_ratio(
+            loops["arena"], loops["per-call"]),
         "loop_alloc_peak_bytes": _alloc_peak(
             lambda: loop_plan.execute(loop_feeds, record=False,
                                       arena=loop_arena),
@@ -461,9 +474,13 @@ def timings(workload):
             lambda: loop_plan.execute(loop_feeds, record=False),
             collect=True,
         ),
-        "structured_exec_seconds": structured_exec.best,
-        "structured_exec_arena_seconds": structured_arena_exec.best,
-        "structured_exec_donated_seconds": structured_donated_exec.best,
+        "structured_exec_seconds": min(structured["plain"]),
+        "structured_exec_arena_seconds": min(structured["arena"]),
+        "structured_exec_donated_seconds": min(structured["donated"]),
+        "structured_arena_over_plain_median_ratio": _median_ratio(
+            structured["arena"], structured["plain"]),
+        "structured_donated_over_plain_median_ratio": _median_ratio(
+            structured["donated"], structured["plain"]),
         "gemm_beta_fold_sinks": sink_stats.fold_sinks,
         "gemm_beta_folds_sunk_workload": sink_stats.gemm_beta_folds,
         "batch_8_feeds_4_workers_seconds": batch.best,
@@ -472,6 +489,7 @@ def timings(workload):
         "batch_64_feeds_4_workers_fused_arena_seconds": arena_batch64.best,
         "batch_64_feeds_sharded_seconds": shard_best,
         "sharded_supervised_seconds": supervised_best,
+        "sharded_supervised_over_sharded_median_ratio": supervised_ratio,
         "hung_worker_recovery_seconds": recovery_seconds,
         "hung_worker_recovery_hangs": recovery_hangs,
         "hung_worker_recovery_respawns": recovery_respawns,
@@ -515,7 +533,8 @@ def test_cached_plan_beats_interpreter_and_records_json(timings, workload):
         "plan_over_interpreter_speedup": speedup,
         "fused_arena_over_interpreter_speedup": fused_arena_speedup,
     }
-    (ROOT / "BENCH_runtime.json").write_text(json.dumps(payload, indent=2))
+    BENCH_OUT.parent.mkdir(exist_ok=True)
+    BENCH_OUT.write_text(json.dumps(payload, indent=2))
     # The acceptance claim: repeated execution of a cached plan beats
     # re-running the reference interpreter on the same graph.
     assert timings["plan_exec_seconds"] < timings["interpreter_exec_seconds"]
@@ -534,11 +553,12 @@ def test_fused_arena_at_or_below_plain_plan(timings):
 
 
 def test_donated_feeds_skip_every_copy(timings):
-    """Donation removes the last per-call memcpys: zero bytes staged.
-    The timing comparison gets a noise margin — the two measurements run
-    at different moments and the staging saved is a single-digit percent
-    of the call, well inside shared-runner jitter; the hard zero-copy
-    guarantee is the byte counter."""
+    """Layout-matched feeds are aliased, which removes the last per-call
+    memcpys: zero bytes staged.  The timing comparison gets a noise
+    margin — the two measurements run at different moments and the
+    staging saved is a single-digit percent of the call, well inside
+    shared-runner jitter; the hard zero-copy guarantee is the byte
+    counter."""
     assert timings["bytes_copied_per_call_donated"] == 0
     assert timings["bytes_copied_per_call"] > 0
     assert (
@@ -549,13 +569,10 @@ def test_donated_feeds_skip_every_copy(timings):
 
 def test_arena_loop_bodies_beat_per_call_loops(timings):
     """The arena'd loop executes its body allocation-free and must not be
-    slower than per-call sub-plan execution (small noise margin: the two
-    timings run at different moments); the allocation peak contrast
+    slower than per-call sub-plan execution (small noise margin, on the
+    median of interleaved per-round ratios); the allocation peak contrast
     shows the per-iteration intermediates disappeared."""
-    assert (
-        timings["loop_exec_arena_seconds"]
-        <= timings["loop_exec_seconds"] * 1.1
-    )
+    assert timings["loop_arena_over_per_call_median_ratio"] <= 1.1
     assert (
         timings["loop_alloc_peak_bytes"]
         < timings["loop_alloc_peak_bytes_per_call"] / 2
@@ -565,19 +582,14 @@ def test_arena_loop_bodies_beat_per_call_loops(timings):
 def test_structured_arena_within_budget(timings):
     """The per-slot layout preferences (tridiagonal destinations and
     operands ride C-ordered, BLAS slots stay F) brought arena mode from
-    ~1.55x the plain path down to near parity.  The *donated* arena path
-    — the serving configuration — must be at or below plain (small noise
-    margin); the staged path keeps paying two C<->F boundary copies per
-    call (the TRMM operand staging and the F-ordered L feed), documented
-    here and gated at a modest factor rather than hidden."""
-    assert (
-        timings["structured_exec_donated_seconds"]
-        <= timings["structured_exec_seconds"] * 1.10
-    )
-    assert (
-        timings["structured_exec_arena_seconds"]
-        <= timings["structured_exec_seconds"] * 1.35
-    )
+    ~1.55x the plain path down to near parity.  The arena path with
+    layout-matched (aliased) feeds — the serving configuration — must be
+    at or below plain (small noise margin); the staged path keeps paying
+    a C->F boundary copy per call (the TRMM operand's F-ordered L feed),
+    documented here and gated at a modest factor rather than hidden.
+    Both gates read the median of interleaved per-round ratios."""
+    assert timings["structured_donated_over_plain_median_ratio"] <= 1.10
+    assert timings["structured_arena_over_plain_median_ratio"] <= 1.35
 
 
 def test_fold_aware_scheduling_enables_beta_fold(timings):
@@ -614,15 +626,6 @@ def test_autotuned_chain_beats_canonical(timings):
     )
 
 
-def test_pinned_binding_beats_donated_dispatch(timings):
-    """Pinned execution removes the last per-call binding work (slot
-    table build, feed walk, donation layout checks), so it must run
-    under the donated number on the dispatch-bound workload."""
-    assert (
-        timings["pinned_exec_seconds"] < timings["plan_exec_donated_seconds"]
-    )
-
-
 @pytest.mark.skipif(SHARDS < 2, reason="sharding disabled or single shard")
 def test_sharded_batch_scales_over_thread_pool(timings):
     """The acceptance bar for the GIL-free dispatch path, at 64 feeds,
@@ -633,7 +636,7 @@ def test_sharded_batch_scales_over_thread_pool(timings):
       thread pool in the PR-1 serving configuration (plain plan, no
       arena), i.e. the number the ISSUE's "only ~2x the serial cost"
       motivation refers to.  This measures the whole serving stack
-      (sharding + each worker's fused/donated turbo arena), not
+      (sharding + each worker's fused turbo arena with aliased feeds), not
       process-parallelism alone.
     * strictly faster than
       ``batch_64_feeds_4_workers_fused_arena_seconds`` — the *best*
@@ -670,15 +673,12 @@ def test_sharded_batch_scales_over_thread_pool(timings):
 def test_supervised_sharding_overhead_is_small(timings):
     """Wave deadlines replace blocking recv() with poll(timeout) — one
     extra syscall per wave reply.  The supervised clean path must stay
-    within a modest factor of the unsupervised pool (the two best-of-12
-    numbers are measured moments apart, so the margin is noise budget,
-    not a real overhead allowance); the CI regression gate holds the
-    absolute number to the committed baseline at 20%."""
+    within a modest factor of the unsupervised pool, on the median of
+    interleaved per-round ratios (the margin is noise budget, not a real
+    overhead allowance); the CI regression gate holds the absolute
+    number to the committed baseline at 20%."""
     assert timings["sharded_supervised_seconds"] is not None
-    assert (
-        timings["sharded_supervised_seconds"]
-        <= timings["batch_64_feeds_sharded_seconds"] * 1.25
-    )
+    assert timings["sharded_supervised_over_sharded_median_ratio"] <= 1.25
 
 
 @pytest.mark.skipif(SHARDS < 1, reason="sharding disabled")

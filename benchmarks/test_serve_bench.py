@@ -3,7 +3,8 @@
 Runs :func:`repro.serve.bench.serve_bench` — the same dispatch-bound
 workload as the runtime bench, driven through the full serving stack
 (admission → coalescer → dispatch thread → engine) — and records the
-``serve_*`` numbers into ``BENCH_runtime.json``.
+``serve_*`` numbers into ``.benchmarks/BENCH_runtime.json`` (gitignored;
+the committed ``BENCH_runtime.json`` baseline is never rewritten).
 
 Acceptance gates (the ISSUE's serving criteria):
 
@@ -43,6 +44,7 @@ CONCURRENCY = int(os.environ.get("REPRO_SERVE_CONCURRENCY", "8"))
 SHARDS = int(os.environ.get("REPRO_BENCH_SHARDS", "2"))
 LOOPS = int(os.environ.get("REPRO_BENCH_LOOPS", "12"))
 ROOT = pathlib.Path(__file__).resolve().parent.parent
+BENCH_OUT = ROOT / ".benchmarks" / "BENCH_runtime.json"
 
 
 @pytest.fixture(scope="module")
@@ -56,12 +58,12 @@ def result():
 
 
 def test_serve_bench_records_json(result):
-    """Merge the serve numbers into BENCH_runtime.json without touching
-    the runtime keys already recorded there."""
-    path = ROOT / "BENCH_runtime.json"
-    payload = json.loads(path.read_text()) if path.exists() else {}
+    """Merge the serve numbers into the fresh BENCH_runtime.json without
+    touching the runtime keys already recorded there."""
+    payload = json.loads(BENCH_OUT.read_text()) if BENCH_OUT.exists() else {}
     payload.update(result.numbers)
-    path.write_text(json.dumps(payload, indent=2))
+    BENCH_OUT.parent.mkdir(exist_ok=True)
+    BENCH_OUT.write_text(json.dumps(payload, indent=2))
     n = result.numbers
     assert n["serve_requests"] == REQUESTS
     assert n["serve_shards"] == SHARDS

@@ -16,6 +16,7 @@ the user-facing conveniences (``interpret``, graph introspection,
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import threading
 import time
@@ -31,6 +32,9 @@ from ..runtime import Plan
 from ..runtime.singleflight import SingleFlight
 from ..tensor.tensor import Tensor
 from .registry import FrameworkProfile
+
+
+_NO_LOCK = contextlib.nullcontext()
 
 
 def input_signature(args: Sequence[Tensor]) -> tuple:
@@ -61,24 +65,12 @@ class Concrete:
     #: reach the caller, so user-visible results never alias arena
     #: storage.
     arena: "object | None" = None
-    #: Feed-donation mode resolved from the session options (``False``,
-    #: ``True`` or ``"fallback"``): passed through to ``plan.execute`` so
-    #: already-F-ordered feeds alias arena input slots instead of being
-    #: memcpy'd.
-    donate: "bool | str" = False
     #: Guards the arena: one buffer set supports one execution at a time,
     #: so concurrent calls in arena mode serialize (per-call mode stays
     #: lock-free and fully concurrent).
     arena_lock: threading.Lock = dataclasses.field(
         default_factory=threading.Lock
     )
-    #: Pinned-execution state (``Options(pin=True)``): when a call's feed
-    #: arrays are identical objects to ``pinned_key``, the cached
-    #: :class:`~repro.runtime.PinnedBinding` replays the serving loop
-    #: with zero binding work.  Rebound whenever the identity changes.
-    pin: bool = False
-    pinned_key: tuple | None = None
-    pinned_binding: "object | None" = None
     #: Autotune bookkeeping (set by ``Session._build`` when the session
     #: tunes): the plan-cache key hotness is tracked under, the plan-
     #: store trace key promotions re-alias, and whether this concrete is
@@ -196,56 +188,20 @@ class Compiled:
         concrete = self._concrete_in(session, args)
         datas = [a.data for a in args]
         start = time.perf_counter()
-        if concrete.arena is None:
-            outputs, report = concrete.plan.execute(datas)
-        else:
-            with concrete.arena_lock:
-                if concrete.pin:
-                    outputs = self._execute_pinned(concrete, datas)
-                    report = ExecutionReport()
-                else:
-                    outputs, report = concrete.plan.execute(
-                        datas, arena=concrete.arena, donate=concrete.donate,
-                    )
-                    outputs = list(outputs)
-                # Detach results from arena storage: the next call
-                # rewrites the buffers these outputs alias.
+        # Per-call mode runs lock-free; an arena supports one execution
+        # at a time, and its plan/arena pair is swapped under the same
+        # lock by autotune promotion.
+        with concrete.arena_lock if concrete.arena is not None else _NO_LOCK:
+            plan, arena = concrete.plan, concrete.arena
+            outputs, report = plan.execute(datas, arena=arena)
+            if arena is not None:
+                # Detach results from arena storage (or an aliased feed):
+                # the next call rewrites the buffers these outputs alias.
                 outputs = [out.copy() for out in outputs]
-        session._record_exec(concrete.plan, time.perf_counter() - start)
+        session._record_exec(plan, time.perf_counter() - start)
         session._maybe_autotune(concrete, datas)
         self.last_report = report
         return self._wrap(outputs)
-
-    @staticmethod
-    def _execute_pinned(concrete: Concrete, datas: list):
-        """Arena execution through the concrete's cached PinnedBinding.
-
-        The steady-state hit is an identity comparison plus the serving
-        loop — no slot-table build, no feed binding, no donation layout
-        checks.  A new feed identity (or a layout the binding rejects)
-        rebinds; sustained identity churn just degrades to donated-
-        execution cost paid through a fresh binding per call.
-        """
-        key = tuple(map(id, datas))
-        binding = concrete.pinned_binding
-        if binding is None or concrete.pinned_key != key:
-            try:
-                binding = concrete.plan.bind_pinned(datas, concrete.arena)
-            except ValueError:
-                # Layout unsuited for aliasing (e.g. a strided view or a
-                # C-ordered feed for an F slot).  Strict donation keeps
-                # its contract — surface the layout error loudly —
-                # otherwise stay correct via the fallback-donation path.
-                if concrete.donate is True:
-                    raise
-                outputs, _ = concrete.plan.execute(
-                    datas, arena=concrete.arena, donate="fallback",
-                    record=False,
-                )
-                return list(outputs)
-            concrete.pinned_binding = binding
-            concrete.pinned_key = key
-        return list(binding.execute())
 
     def interpret(self, *args: Tensor):
         """Execute through the reference :class:`Interpreter` instead of

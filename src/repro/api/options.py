@@ -22,9 +22,11 @@ PIPELINES = ("default", "aware")
 #:                   (the PR-1 behaviour — results are independent arrays);
 #: ``preallocated``  per-slot ndarray storage is allocated once and reused
 #:                   via the kernels' ``out=`` variants — repeated
-#:                   execution is allocation-free after warmup.  Results
-#:                   returned through the Session layer are copied out of
-#:                   the arena, so user-visible values stay independent.
+#:                   execution is allocation-free after warmup, and
+#:                   feeds already in their slot's layout are aliased
+#:                   instead of staged.  Results returned through the
+#:                   Session layer are copied out of the arena, so
+#:                   user-visible values stay independent.
 __all__ = ["ARENA_MODES", "PIPELINES", "VALIDATION_LEVELS", "Options"]
 
 #: Graph-validation levels applied around trace/optimize:
@@ -67,15 +69,9 @@ class Options:
         Execution-buffer strategy, one of :data:`ARENA_MODES`.
         ``"preallocated"`` executes every compiled function through a
         per-``Concrete`` :class:`~repro.runtime.PlanArena` — repeated
-        calls perform zero intermediate allocations after warmup.
-    donate_feeds:
-        Zero-copy feed binding (requires ``arena="preallocated"``).
-        ``True`` declares every fed array already Fortran-ordered and
-        the runtime's to alias for the duration of the call — the last
-        per-call feed memcpys disappear; a feed failing the layout check
-        raises ``ValueError`` naming the input (softened to a silent
-        copy under ``validation="full"``).  ``"fallback"`` is the
-        best-effort mode: alias what qualifies, copy the rest.
+        calls perform zero intermediate allocations after warmup, and
+        feeds contiguous in their input slot's order (``Session.pin``
+        tensors, ``np.asfortranarray`` data) are aliased, not copied.
     shards:
         Multi-process sharded batching.  ``N >= 1`` routes
         ``session.run_batch`` through a per-plan
@@ -93,14 +89,6 @@ class Options:
         from the same directory.  The directory is created on session
         construction; concurrent sessions and processes may share it
         (writes are atomic).
-    pin:
-        Pinned steady-state execution (requires
-        ``arena="preallocated"``).  Calls whose feed arrays are
-        *identical objects* to the previous call's — the
-        ``Session.pin`` usage pattern: allocate once, rewrite contents
-        in place — skip feed binding and donation layout checks
-        entirely and replay a cached
-        :class:`~repro.runtime.PinnedBinding`.
     shard_respawn:
         Supervision policy of the session's shard pools: ``True``
         respawns a crashed/hung worker and replays its wave (bounded
@@ -144,9 +132,7 @@ class Options:
     fold_constants: bool = False
     fusion: bool = False
     arena: str = "per-call"
-    donate_feeds: "bool | str" = False
     shards: int | None = None
-    pin: bool = False
     plan_store: str | None = None
     shard_respawn: bool = False
     shard_wave_deadline: float | None = None
@@ -181,16 +167,6 @@ class Options:
             raise ConfigError(
                 f"arena must be one of {ARENA_MODES}, got {self.arena!r}"
             )
-        if self.donate_feeds not in (False, True, "fallback"):
-            raise ConfigError(
-                "donate_feeds must be False, True or 'fallback', got "
-                f"{self.donate_feeds!r}"
-            )
-        if self.donate_feeds and self.arena != "preallocated":
-            raise ConfigError(
-                "donate_feeds requires arena='preallocated' — per-call "
-                "execution never copies feeds, so there is nothing to donate"
-            )
         if self.shards is not None and (
             not isinstance(self.shards, int)
             or isinstance(self.shards, bool)
@@ -206,13 +182,6 @@ class Options:
             raise ConfigError(
                 "plan_store must be a non-empty directory path or None, "
                 f"got {self.plan_store!r}"
-            )
-        if not isinstance(self.pin, bool):
-            raise ConfigError(f"pin must be a bool, got {self.pin!r}")
-        if self.pin and self.arena != "preallocated":
-            raise ConfigError(
-                "pin requires arena='preallocated' — pinned bindings alias "
-                "feeds into arena slot storage"
             )
         if not isinstance(self.shard_respawn, bool):
             raise ConfigError(

@@ -110,9 +110,7 @@ class SessionStats:
     #: renders them next to the counters they explain.
     fusion: bool = False
     arena: str = "per-call"
-    donate_feeds: "bool | str" = False
     shards: int | None = None
-    pin: bool = False
     #: Shard activity (satellite of the serving PR): live pools cached on
     #: the session, worker processes those pools own, and worker-waves
     #: dispatched over the session's lifetime (including pools since
@@ -170,13 +168,7 @@ class SessionStats:
         fusion = (
             f"on ({self.fused_sites} fused sites)" if self.fusion else "off"
         )
-        arena = self.arena
-        if self.donate_feeds:
-            mode = "fallback" if self.donate_feeds == "fallback" else "strict"
-            arena += f" | donated feeds ({mode})"
-        if self.pin:
-            arena += " | pinned"
-        exec_line = f"execution: fusion {fusion} | arena {arena}"
+        exec_line = f"execution: fusion {fusion} | arena {self.arena}"
         if self.shards is not None:
             exec_line += f" | {self.shards} shard processes"
         lines = [
@@ -430,7 +422,6 @@ class Session:
             workers=workers,
             record=record,
             arena=session.options.arena,
-            donate_feeds=session._donate_mode(),
         )
         self._record_exec(
             concrete.plan, time.perf_counter() - start, count=len(feed_sets)
@@ -440,7 +431,7 @@ class Session:
         )
         return result
 
-    # -- sharded + pinned serving ------------------------------------------------
+    # -- sharded serving + pinned storage -----------------------------------------
 
     def pin(
         self, name: str, shape: tuple[int, int], dtype: object = None
@@ -449,21 +440,16 @@ class Session:
 
         The returned tensor owns a Fortran-ordered zeroed buffer that
         lives for the session's lifetime; rewrite its ``.data`` in place
-        between calls and pass the *same tensor* each time.  Under
-        ``Options(pin=True)`` the runtime recognizes the repeated
-        identity, binds the buffer into the plan's arena slot once, and
-        steady-state calls skip feed binding and donation layout checks
-        entirely (the ``PinnedBinding`` fast path).  Re-pinning an
-        existing ``name`` returns the existing tensor when shape/dtype
-        agree and raises otherwise — two owners of one pin slot is
-        always a bug.
+        between calls.  Under ``Options(arena="preallocated")`` the
+        buffer is in the layout of every BLAS-fed input slot, so the
+        plan's feed rule aliases it instead of copying it.  Re-pinning
+        an existing ``name`` returns the existing tensor when
+        shape/dtype agree and raises otherwise — two owners of one pin
+        slot is always a bug.
 
-        Pins are Fortran-ordered (the layout of every BLAS-fed input
-        slot).  The rare plan whose input slot is *C*-ordered — an
-        input consumed only by the tridiagonal row-scaling kernel —
-        cannot alias an F pin; such calls stay correct through the
-        fallback-donation path but keep paying a per-call copy rather
-        than engaging the pinned fast path.
+        The rare plan whose input slot is *C*-ordered — an input
+        consumed only by the tridiagonal row-scaling kernel — stages an
+        F pin with a per-call copy instead (still correct).
         """
         if dtype is None:
             from ..config import config
@@ -498,8 +484,8 @@ class Session:
         The plan behind ``fn`` is shipped to ``shards`` workers (default
         ``options.shards``, else :func:`repro.runtime.default_shards`)
         through a session-cached :class:`~repro.runtime.ShardPool`;
-        feeds stream through shared-memory rings, so workers execute
-        copy-free regardless of the session's donation settings.
+        feeds stream through shared-memory rings laid out in slot order,
+        so workers execute copy-free.
         Reports are empty (serving path): use ``run_batch`` for
         recorded, in-process batches.
         """
@@ -543,7 +529,6 @@ class Session:
                 workers=self.options.batch_workers,
                 record=False,
                 arena="preallocated",
-                donate_feeds=False,
             )
         self._record_exec(
             concrete.plan, time.perf_counter() - start, count=len(feed_sets)
@@ -653,11 +638,7 @@ class Session:
             plans=plans,
             fusion=self.options.fusion,
             arena=self.options.arena,
-            # Report the mode executions actually run with (strict may
-            # soften to fallback under validation="full").
-            donate_feeds=self._donate_mode(),
             shards=self.options.shards,
-            pin=self.options.pin,
             shard_pools_open=shard_pools_open,
             shard_workers=shard_workers,
             shard_waves_served=shard_waves,
@@ -695,18 +676,6 @@ class Session:
         )
 
     # -- internals ---------------------------------------------------------------
-
-    def _donate_mode(self) -> "bool | str":
-        """The feed-donation mode executions actually run with.
-
-        ``validation="full"`` softens strict donation to ``"fallback"``
-        (copy feeds the layout check would reject) — the documented
-        escape hatch for callers who want the checks, not the crashes.
-        """
-        donate = self.options.donate_feeds
-        if donate is True and self.options.validation == "full":
-            return "fallback"
-        return donate
 
     def _build(
         self,
@@ -817,8 +786,6 @@ class Session:
             arena=plan.new_arena()
             if self.options.arena == "preallocated"
             else None,
-            donate=self._donate_mode(),
-            pin=self.options.pin,
             cache_key=(
                 (graph_signature(optimized), build_fold, build_fusion)
                 if self._autotuner is not None
@@ -888,10 +855,10 @@ class Session:
         Called by the autotuner (possibly from its worker-driving
         thread).  The cache swap makes every *future* build of this
         signature resolve to the winner; the concrete swap (under the
-        arena lock, paired with a fresh arena and cleared pinned
-        binding) moves the live serving path over atomically; the store
-        re-alias persists the winner plus its derivation record so a
-        restarted process warm-starts straight onto it.
+        arena lock, paired with a fresh arena) moves the live serving
+        path over atomically; the store re-alias persists the winner
+        plus its derivation record so a restarted process warm-starts
+        straight onto it.
         """
         winner_plan = winner.plan
         if winner_plan is None:
@@ -903,8 +870,6 @@ class Session:
             concrete.plan = winner_plan
             if concrete.arena is not None:
                 concrete.arena = winner_plan.new_arena()
-            concrete.pinned_key = None
-            concrete.pinned_binding = None
         with self._lock:
             old = self._plan_stats.get(canonical_plan)
             if winner_plan not in self._plan_stats:

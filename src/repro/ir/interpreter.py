@@ -80,6 +80,17 @@ class ExecutionReport:
         # silently understate every later peak.
         self._live_bytes = max(0, self._live_bytes - nbytes)
 
+    def replay(self, other: "ExecutionReport") -> "ExecutionReport":
+        """Extend this report as if ``other``'s events had been recorded
+        into it, and return it.  Exact for a run that never frees below
+        its own starting live set, which holds for every plan execution
+        (inputs and constants are never freed)."""
+        self.calls.extend(other.calls)
+        self.peak_bytes = max(self.peak_bytes,
+                              self._live_bytes + other.peak_bytes)
+        self._live_bytes += other._live_bytes
+        return self
+
 
 def _normalize_feed(value: object) -> np.ndarray:
     from ..tensor.tensor import Tensor

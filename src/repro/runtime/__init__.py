@@ -27,14 +27,15 @@ This package is that compile-once / execute-many layer:
                variants, making repeated execution allocation-free after
                warmup.  Execution is output- and report-parity with the
                Interpreter in every fusion × arena combination (verified
-               by ``tests/test_runtime_plans.py``).
+               by ``tests/test_runtime_plans.py``); the report is
+               computed once per input-dtype signature, and arena mode
+               aliases feeds already in their slot's layout.
 ``cache``      :class:`PlanCache` — signature-keyed LRU of compiled
                plans (the fold/fusion knobs key separately) with
                hit/miss/eviction stats and single-flight concurrent
                compilation.  Caches are instance-scoped and owned by
                :class:`repro.api.Session`; the process-wide default
-               instance survives as the default session's cache (reaching
-               it via ``default_plan_cache`` is deprecated).
+               instance is the default session's cache.
 ``batch``      One plan over many feed sets, sequentially or via a
                thread pool (BLAS kernels release the GIL), optionally
                through one reused arena per worker, or — ``shards=N`` —
@@ -42,19 +43,16 @@ This package is that compile-once / execute-many layer:
 ``shard``      :class:`ShardPool` — N worker processes, each compiling
                the plan once (plans pickle *by reconstruction* via
                ``serialize``) and serving feed waves through
-               shared-memory ring buffers with pinned bindings: the
+               shared-memory ring buffers laid out in slot order: the
                parent writes feeds straight into the shard's input
                slots, workers execute copy-free, outputs land in shared
                memory.  The GIL-free dispatch path.
 ``serialize``  Structural graph payloads — what crosses the process
                boundary (and what ``Plan.__reduce__`` pickles).
-``persist``    On-disk accumulation of plan-cache signatures + compile
-               times across runs (``laab cache-stats --save/--load``) —
-               the real-world trace-dedup observability layer.
 ``store``      :class:`PlanStore` — the persistent, content-addressed
-               on-disk plan store the persist layer priced out:
-               versioned artifacts (optimized-graph payload + compile
-               knobs, large consts as mmap-loaded ``.npy`` sidecars)
+               on-disk plan store: versioned artifacts (optimized-graph
+               payload + compile knobs, large consts as mmap-loaded
+               ``.npy`` sidecars)
                keyed by signature digest, with trace-signature aliases
                so a cold ``Session`` skips the optimization pipeline
                and shard workers warm-start instead of recompiling.
@@ -68,10 +66,10 @@ This package is that compile-once / execute-many layer:
 
 from .autotune import AutotuneConfig, AutotuneStats, Autotuner
 from .batch import ARENA_MODES, BatchResult, execute_batch
-from .cache import CacheStats, PlanCache, default_plan_cache
+from .cache import CacheStats, PlanCache
 from .compiler import compile_plan
 from .fusion import FusionStats, fuse_instructions
-from .plan import Instruction, PinnedBinding, Plan, PlanArena, SlotDescriptor
+from .plan import Instruction, Plan, PlanArena, SlotDescriptor
 from .serialize import graph_from_payload, graph_to_payload
 from .shard import ShardPool, ShardWorkerError, default_shards
 from .signature import graph_signature
@@ -87,7 +85,6 @@ __all__ = [
     "FusionStats",
     "GCStats",
     "Instruction",
-    "PinnedBinding",
     "Plan",
     "PlanArena",
     "PlanCache",
@@ -97,7 +94,6 @@ __all__ = [
     "SlotDescriptor",
     "StoreStats",
     "compile_plan",
-    "default_plan_cache",
     "default_shards",
     "execute_batch",
     "fuse_instructions",

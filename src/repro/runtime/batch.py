@@ -70,7 +70,6 @@ def execute_batch(
     workers: int | None = None,
     record: bool = False,
     arena: str = "per-call",
-    donate_feeds: "bool | str" = False,
     shards: int | None = None,
 ) -> BatchResult:
     """Run ``plan`` over every feed set in ``feed_sets``.
@@ -81,20 +80,16 @@ def execute_batch(
     on for parity checks and experiments.  ``arena="preallocated"``
     executes through one reused :class:`~repro.runtime.plan.PlanArena` per
     worker (outputs are copied out, so results match per-call mode
-    bit-for-bit).  ``donate_feeds`` (arena mode only) aliases
-    already-F-ordered feed arrays into the arena instead of staging them
-    — ``True`` raises ``ValueError`` on a feed failing the layout check,
-    ``"fallback"`` copies it; the feeds of a batch are typically caller-
-    built once and streamed, exactly the buffers worth donating.
+    bit-for-bit); feeds already in their input slot's layout are aliased,
+    the rest staged (see *Feed aliasing* in :mod:`repro.runtime.plan`).
 
     ``shards=N`` leaves the thread pool behind entirely: the batch runs
     through a transient N-process :class:`~repro.runtime.shard.ShardPool`
-    (shared-memory rings, donated feeds, ``record`` unsupported — the
-    shard path is the serving path).  It is mutually exclusive with the
-    in-process knobs — ``workers``, a non-default ``arena``,
-    ``donate_feeds`` — rather than silently overriding them: the shard
-    workers always execute arena'd with feeds aliased from shared
-    memory.  A fresh pool per call pays worker startup every time; for
+    (shared-memory rings, ``record`` unsupported — the shard path is the
+    serving path).  It is mutually exclusive with the in-process knobs —
+    ``workers`` and a non-default ``arena`` — rather than silently
+    overriding them: the shard workers always execute arena'd with feeds
+    aliased from shared memory.  A fresh pool per call pays worker startup every time; for
     repeated batches hold a ``ShardPool`` (or use
     ``Session.run_sharded``, which caches one per plan).
     """
@@ -108,11 +103,11 @@ def execute_batch(
                 "shards= is the serving path and cannot record reports; "
                 "use workers= for recorded batches"
             )
-        if workers is not None or arena != "per-call" or donate_feeds:
+        if workers is not None or arena != "per-call":
             raise GraphError(
-                "shards= is mutually exclusive with workers=/arena=/"
-                "donate_feeds= — shard workers always execute arena'd "
-                "with feeds donated from shared memory"
+                "shards= is mutually exclusive with workers=/arena= — "
+                "shard workers always execute arena'd with feeds aliased "
+                "from shared memory"
             )
         from .shard import ShardPool  # deferred: multiprocessing import
 
@@ -126,11 +121,6 @@ def execute_batch(
                 dtype = np.asarray(probe).dtype
         with ShardPool(plan, shards=shards, dtype=dtype) as pool:
             return pool.run(feed_sets)
-    if donate_feeds and arena != "preallocated":
-        raise GraphError(
-            "donate_feeds requires arena='preallocated' — per-call "
-            "execution never copies feeds"
-        )
     feed_sets = list(feed_sets)
 
     if arena == "preallocated":
@@ -140,8 +130,7 @@ def execute_batch(
             worker_arena = getattr(worker_state, "arena", None)
             if worker_arena is None:
                 worker_arena = worker_state.arena = plan.new_arena()
-            outs, rep = plan.execute(feeds, record=record, arena=worker_arena,
-                                     donate=donate_feeds)
+            outs, rep = plan.execute(feeds, record=record, arena=worker_arena)
             # Detach from arena storage: the next feed through this worker
             # rewrites the buffers the outputs alias.
             return [out.copy() for out in outs], rep

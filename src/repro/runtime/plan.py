@@ -31,25 +31,20 @@ arena preallocated/per-call.  The report contract has two levels:
 The **arena** never affects the report: it changes where results are
 materialized (preallocated per-slot storage, written through the
 ``out=``-aware kernels), not what is modelled.  Arena-mode outputs alias
-the arena's buffers — the next execution through the same arena
-overwrites them; copy what you need to keep (``execute_batch`` and the
-Session layer do this for you).
+the arena's buffers (or an aliased feed) — the next execution through
+the same arena overwrites them; copy what you need to keep
+(``execute_batch`` and the Session layer do this for you).
 
-Donated feeds
--------------
-``execute(..., donate=True)`` is the caller's declaration that the fed
-arrays are already Fortran-ordered and theirs to hand over for the call:
-instead of staging each feed into an arena input slot with a memcpy, the
-plan aliases the arrays into the slot table directly.  Input slots are
-never written by instructions (inputs stay live for the whole run), so
-the arrays are read, never mutated — "donation" buys the zero-copy
-aliasing, and in exchange the caller must not mutate the arrays during
-the call and must not assume outputs are independent of later reuse of
-the arena.  A feed that is not Fortran-contiguous would silently put
-downstream kernels back on numpy's mixed-layout buffering paths, so
-strict donation *raises* ``ValueError`` naming the offending input;
-``donate="fallback"`` copies such feeds instead (the mode the Session
-layer uses under ``validation="full"``).
+Accounting
+----------
+The report depends only on the plan and the input dtypes: kernel calls
+are pre-resolved per instruction, result sizes follow from the static
+slot shapes, and loop trip counts are static.  So the first recording
+pass for a dtype signature (the *warming* pass) stores its report on
+the plan, and every later ``record=True`` call runs an unrecorded loop
+and hands out a copy of it — or, given ``report=``, extends the
+caller's report as if the events had been replayed into it (what the
+``fori_loop`` sub-plans rely on).
 
 Slot layouts
 ------------
@@ -59,21 +54,21 @@ C-ordered when every instruction writing them measurably prefers a
 C destination: the tridiagonal row-scaling kernel updates *row slices*
 of its result, which against an F-ordered buffer degenerate into
 strided inner loops roughly twice as slow as the allocating path.  The
-per-slot order lives in :attr:`Plan.slot_orders`; donation checks feeds
-against the slot's declared order (a C-ordered input slot accepts —
-and aliases — the C-contiguous arrays tensors carry by default).
+per-slot order lives in :attr:`Plan.slot_orders`.
 
-Pinned bindings
----------------
-Donation still pays per-call feed binding: the dict/positional walk of
-``_bind``, a layout flag check per input, and a fresh ``num_slots``-long
-slot list.  :meth:`Plan.bind_pinned` moves all of that to a one-time
-step: the caller's (already layout-correct) arrays are aliased into a
-*persistent* slot table and the resulting :class:`PinnedBinding` replays
-the serving loop with zero per-call binding work — the steady-state
-shape of a server that owns its input buffers and rewrites them in
-place between calls.  Used by ``Session.pin`` / ``Options(pin=True)``
-and by the shard workers' shared-memory input slots.
+Feed aliasing
+-------------
+Arena execution applies one rule per feed: a feed that is contiguous
+in the order its input slot declares is *aliased* into the slot table;
+any other feed is *staged* — memcpy'd into the arena's input buffer,
+which keeps every downstream ufunc on the single-layout no-buffering
+path and hands BLAS operands it can use without f2py's hidden copies.
+Input slots are never written by instructions, so aliased feeds are
+read, never mutated; the caller must not mutate them during the call.
+Arrays from :meth:`buffer_descriptors`-shaped allocators (shard rings,
+``Session.pin``) are in slot layout and therefore copy nothing.  A feed
+that is (a view of) one of the arena's own output buffers is staged
+too: the run may overwrite that storage before reading the feed.
 """
 
 from __future__ import annotations
@@ -88,7 +83,8 @@ from ..ir.interpreter import ExecutionReport, KernelCall, _normalize_feed
 
 #: An op executor: ``fn(args, report, record) -> ndarray``.  Most ops
 #: ignore ``report``/``record``; ``loop`` threads them into its sub-plan.
-ExecFn = Callable[[list, ExecutionReport, bool], np.ndarray]
+#: ``report`` is ``None`` when the pass does not record.
+ExecFn = Callable[[list, "ExecutionReport | None", bool], np.ndarray]
 
 #: A destination-aware op executor: ``fn(args, out) -> ndarray``.  Writes
 #: the result into the preallocated ``out`` buffer and returns it; ops
@@ -101,7 +97,9 @@ OutFn = Callable[[list, np.ndarray], np.ndarray]
 #: nested sub-plan through the persistent per-:class:`PlanArena`
 #: ``state`` (ping-pong child arenas + index buffer) so iterative
 #: workloads stay allocation-free after warmup.
-LoopFn = Callable[[list, np.ndarray, "LoopState", ExecutionReport, bool], np.ndarray]
+LoopFn = Callable[
+    [list, np.ndarray, "LoopState", "ExecutionReport | None", bool], np.ndarray
+]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -192,8 +190,8 @@ class LoopState:
 
     Two child arenas, used ping-pong (iteration *i* executes through
     ``arenas[i & 1]``): the carried value coming out of one iteration
-    lives in one arena's buffers and can therefore be *donated* — aliased,
-    not copied — into the next iteration's feeds, because that iteration
+    lives in one arena's buffers and can therefore be aliased, not
+    copied, into the next iteration's feeds, because that iteration
     writes only the other arena's (disjoint) buffers.  After both child
     arenas warm up, the loop performs zero ndarray allocations and zero
     carried-value copies per trip.  ``idx`` is the persistent ``(1, 1)``
@@ -262,7 +260,7 @@ class PlanArena:
         #: warm (asserted by the allocation-free regression test).
         self.allocations = 0
         #: Bytes memcpy'd into arena storage so far (feed staging, const
-        #: staging, compute-then-copy landings).  Donated feeds skip the
+        #: staging, compute-then-copy landings).  Aliased feeds skip the
         #: staging copies, which is what the ``bytes_copied_per_call``
         #: benchmark metric measures.
         self.bytes_copied = 0
@@ -344,7 +342,9 @@ class Plan:
         "_slot_shapes",
         "_by_name",
         "_by_pos",
+        "_input_orders",
         "_turbo_ops",
+        "_reports",
         # Weakly referenceable so per-plan accounting (Session._plan_stats)
         # can key on plans without pinning evicted ones in memory.
         "__weakref__",
@@ -389,6 +389,10 @@ class Plan:
         # of rebuilding two dicts on every mapping-feed call.
         self._by_name = {p.name: p for p in inputs}
         self._by_pos = dict(enumerate(inputs))
+        # (slot, declared-Fortran) per input — what the feed rule checks.
+        self._input_orders = tuple(
+            (p.slot, self.slot_orders[p.slot] == "F") for p in inputs
+        )
         # The warm-arena fast-dispatch table: per instruction, the
         # destination-aware executor when it can be called with zero
         # per-call checks (no const/loop special casing), else None →
@@ -410,6 +414,9 @@ class Plan:
             )
             for inst in instructions
         )
+        #: Input-dtype signature → the report of one execution (see
+        #: *Accounting* in the module docstring).
+        self._reports: dict[tuple, ExecutionReport] = {}
 
     def new_arena(self) -> PlanArena:
         """A fresh preallocated-buffer arena for this plan."""
@@ -497,40 +504,6 @@ class Plan:
             )
         arena.install(slot, array)
 
-    def bind_pinned(
-        self, feeds: Sequence[np.ndarray], arena: PlanArena
-    ) -> "PinnedBinding":
-        """Bind ``feeds`` into a persistent slot table (see *Pinned
-        bindings* in the module docstring).  Validates length, shapes
-        and per-slot layout once; the returned binding executes with no
-        per-call binding work.  The caller keeps ownership of the arrays
-        and may rewrite their *contents* between calls — identity and
-        layout are fixed for the binding's lifetime."""
-        # Same normalization as every other feed path (Tensor unwrap,
-        # 0-d/1-D promotion via reshape *views* — aliasing is preserved).
-        feeds = [_normalize_feed(f) for f in feeds]
-        if len(feeds) != len(self.inputs):
-            raise GraphError(
-                f"plan has {len(self.inputs)} inputs, got {len(feeds)} feeds"
-            )
-        for spec, arr in zip(self.inputs, feeds):
-            if tuple(arr.shape) != spec.shape:
-                raise GraphError(
-                    f"feed for {spec.name!r} has shape {arr.shape}, "
-                    f"input declares {spec.shape}"
-                )
-            order = self.slot_orders[spec.slot]
-            contiguous = (
-                arr.flags.f_contiguous if order == "F" else arr.flags.c_contiguous
-            )
-            if not contiguous:
-                raise ValueError(
-                    f"pinned feed for input {spec.name!r} must be "
-                    f"{order}-contiguous — allocate it with "
-                    f"np.empty(..., order={order!r}) (Session.pin does)"
-                )
-        return PinnedBinding(self, arena, feeds)
-
     # -- feed binding ---------------------------------------------------------
 
     def _bind(
@@ -563,7 +536,12 @@ class Plan:
                     f"plan has {len(self.inputs)} inputs, got {len(feeds)} feeds"
                 )
             for spec, value in zip(self.inputs, feeds):
-                slots[spec.slot] = _normalize_feed(value)
+                # Plain 2-D ndarrays (every internal caller) are already
+                # normalized; skip the per-feed conversion call.
+                slots[spec.slot] = (
+                    value if type(value) is np.ndarray and value.ndim == 2
+                    else _normalize_feed(value)
+                )
         for spec in self.inputs:
             arr = slots[spec.slot]
             if tuple(arr.shape) != spec.shape:
@@ -636,92 +614,121 @@ class Plan:
         report: ExecutionReport | None = None,
         record: bool = True,
         arena: PlanArena | None = None,
-        donate: "bool | str" = False,
     ) -> tuple[list[np.ndarray], ExecutionReport]:
         """Run the plan; returns ``(outputs, report)`` like Interpreter.run.
 
         ``arena`` switches execution onto preallocated per-slot buffers
-        (see :class:`PlanArena`); outputs then alias arena storage and are
-        only valid until the next execution through the same arena.
+        (see :class:`PlanArena`) and aliases layout-matched feeds (see
+        *Feed aliasing* in the module docstring); outputs then alias
+        arena storage or a feed and are only valid until the next
+        execution through the same arena.
 
-        ``donate`` (arena mode only) aliases already-Fortran-ordered
-        feeds straight into the slot table instead of memcpy'ing them
-        into arena input buffers — see *Donated feeds* in the module
-        docstring.  ``True`` raises :class:`ValueError` on a feed whose
-        layout would defeat the aliasing; ``"fallback"`` copies such
-        feeds instead.
+        ``record=True`` returns the plan's stored report for the feeds'
+        dtype signature (see *Accounting*): a fresh copy, or ``report``
+        extended by it when one is passed.  ``record=False`` returns
+        ``report`` untouched (a fresh empty one when ``None``).
         """
-        report = report if report is not None else ExecutionReport()
         slots: list = [None] * self.num_slots
         self._bind(feeds, slots)
+        sig = tuple(slots[spec.slot].dtype for spec in self.inputs)
         if arena is not None:
-            if donate:
-                orders = self.slot_orders
-                for spec in self.inputs:
-                    src = slots[spec.slot]
-                    order = orders[spec.slot]
-                    if (src.flags.f_contiguous if order == "F"
-                            else src.flags.c_contiguous):
-                        continue  # aliased in place — the zero-copy path
-                    if donate != "fallback":
-                        kind, hint = (
-                            ("Fortran", "np.asfortranarray(...)")
-                            if order == "F"
-                            else ("C", "np.ascontiguousarray(...)")
-                        )
-                        raise ValueError(
-                            f"donate=True: feed for input {spec.name!r} is "
-                            f"not {kind}-contiguous — pass {hint} (or "
-                            "donate='fallback' to copy feeds the layout "
-                            "check rejects)"
-                        )
-                    buf = arena.buffer(spec.slot, src.shape, src.dtype)
-                    np.copyto(buf, src)
-                    arena.bytes_copied += src.nbytes
-                    slots[spec.slot] = buf
-            else:
-                # Stage feeds into the arena's F-ordered input buffers:
-                # one memcpy per input that (a) keeps every downstream
-                # ufunc on the single-layout no-buffering path and (b)
-                # hands BLAS F-contiguous operands it can use without
-                # f2py's hidden copies.  Values are unchanged, so outputs
-                # stay bit-identical.
-                for spec in self.inputs:
-                    src = slots[spec.slot]
-                    buf = arena.buffer(spec.slot, src.shape, src.dtype)
-                    np.copyto(buf, src)
-                    arena.bytes_copied += src.nbytes
-                    slots[spec.slot] = buf
-        elif donate:
-            raise GraphError(
-                "donate= only applies to arena execution; pass arena= "
-                "(per-call mode never copies feeds)"
-            )
-        bufs = arena.buffers if arena is not None else None
-        if record:
-            if bufs is not None:
-                # A recording pass can still (re)warm buffers, so it must
-                # take part in the turbo certification protocol (see the
-                # serving branch below): invalidate first, certify after.
-                sig = tuple(slots[spec.slot].dtype for spec in self.inputs)
-                arena._turbo_sig = None
-                arena._mixed = False
-            calls = report.calls
+            self._stage(slots, arena)
+            self._run_in(arena, slots, sig)
+        elif record and sig not in self._reports:
+            self._run_warming(slots, None, sig)
+        else:
+            # Plain per-call loop: fresh intermediates, no accounting.
             for inst in self.instructions:
                 args = [slots[s] for s in inst.arg_slots]
-                if bufs is None:
-                    result = inst.fn(args, report, record)
+                slots[inst.out_slot] = inst.fn(args, None, False)
+                for s in inst.free_slots:
+                    slots[s] = None
+        if report is None:
+            report = ExecutionReport()
+        if record:
+            report.replay(self._reports[sig])
+        return [slots[s] for s in self.output_slots], report
+
+    def _stage(self, slots: list, arena: PlanArena) -> None:
+        """The feed rule: alias a feed contiguous in its slot's declared
+        order, stage (memcpy into the arena's input buffer) any other —
+        and any feed backed by one of the arena's own output buffers,
+        which this run may overwrite before reading it."""
+        bufs = arena.buffers
+        for slot, fortran in self._input_orders:
+            src = slots[slot]
+            flags = src.flags
+            if flags.f_contiguous if fortran else flags.c_contiguous:
+                root = src if src.base is None else src.base
+                for s in self.output_slots:
+                    if bufs[s] is root:
+                        break
                 else:
-                    result = self._run_arena(inst, args, arena, bufs,
-                                             report, record)
-                slots[inst.out_slot] = result
-                if inst.calls:
-                    calls.extend(inst.calls)
+                    continue  # aliased
+            buf = arena.buffer(slot, src.shape, src.dtype)
+            np.copyto(buf, src)
+            arena.bytes_copied += src.nbytes
+            slots[slot] = buf
+
+    def _run_in(self, arena: PlanArena, slots: list, sig: tuple) -> None:
+        """Run bound, staged ``slots`` through ``arena``: the turbo loop
+        when the arena is certified for ``sig``, else the warming loop.
+        Shard workers call this directly with one slot list per ring
+        entry, prepared once by :meth:`_bind` and :meth:`_stage`."""
+        if sig == arena._turbo_sig:
+            self._run_turbo(slots, arena)
+        else:
+            self._run_warming(slots, arena, sig)
+
+    def _run_turbo(self, slots: list, arena: PlanArena) -> None:
+        """The certified loop.  Once a warming pass has completed with no
+        mixed-dtype fallback, every buffer's shape/dtype is a pure
+        function of the input dtypes, so a call matching that signature
+        skips every per-instruction dtype/warmth check and slot clearing
+        (arena buffers persist regardless)."""
+        bufs = arena.buffers
+        for fast, out_slot, arg_slots, inst, scratch in self._turbo_ops:
+            args = [slots[s] for s in arg_slots]
+            if fast is None:
+                slots[out_slot] = self._exec_into(inst, args, arena, None,
+                                                  False)
+            elif scratch is None:
+                slots[out_slot] = fast(args, bufs[out_slot])
+            else:
+                slots[out_slot] = fast(args, bufs[out_slot], bufs[scratch])
+
+    def _run_warming(
+        self, slots: list, arena: PlanArena | None, sig: tuple
+    ) -> None:
+        """The general loop, per-call (``arena=None``) or arena mode.
+
+        Records the signature's report when none is stored yet,
+        replicating the Interpreter's protocol: record kernel calls,
+        alloc the result, then free operands whose last consumer this
+        was.  In arena mode it also (re)warms buffers and certifies the
+        turbo loop: the signature is invalidated first, so an exception
+        mid-pass cannot leave it pointing at half-warm buffers.
+        """
+        report = ExecutionReport() if sig not in self._reports else None
+        record = report is not None
+        if arena is not None:
+            bufs = arena.buffers
+            arena._turbo_sig = None
+            arena._mixed = False
+        for inst in self.instructions:
+            args = [slots[s] for s in inst.arg_slots]
+            if arena is None:
+                result = inst.fn(args, report, record)
+            else:
+                result = self._run_arena(inst, args, arena, bufs, report,
+                                         record)
+            slots[inst.out_slot] = result
+            if record:
+                report.calls.extend(inst.calls)
                 if inst.fused_events is None:
                     report.alloc(result.nbytes)
                     for s in inst.free_slots:
                         report.free(slots[s].nbytes)
-                        slots[s] = None
                 else:
                     # Replay the fused members' original alloc/free
                     # sequence so peak/live bytes match the Interpreter.
@@ -731,56 +738,12 @@ class Plan:
                             report.alloc(e * isz)
                         else:
                             report.free(-e * isz)
-                    for s in inst.free_slots:
-                        slots[s] = None
-            if bufs is not None and not arena._mixed:
-                arena._turbo_sig = sig
-        elif bufs is None:
-            for inst in self.instructions:
-                args = [slots[s] for s in inst.arg_slots]
-                slots[inst.out_slot] = inst.fn(args, report, record)
-                for s in inst.free_slots:
-                    slots[s] = None
-        else:
-            # Serving path (arena, no accounting).  Once a full pass has
-            # completed with no mixed-dtype fallback, every buffer's
-            # shape/dtype is a pure function of the input dtypes — so a
-            # call whose bound feeds match that signature can run the
-            # *turbo* loop: precompiled fast dispatch, no per-instruction
-            # dtype/warmth checks, no slot clearing (arena buffers
-            # persist regardless).
-            sig = tuple(slots[spec.slot].dtype for spec in self.inputs)
-            if sig == arena._turbo_sig:
-                for fast, out_slot, arg_slots, inst, scratch in self._turbo_ops:
-                    args = [slots[s] for s in arg_slots]
-                    if fast is not None:
-                        if scratch is None:
-                            slots[out_slot] = fast(args, bufs[out_slot])
-                        else:
-                            slots[out_slot] = fast(
-                                args, bufs[out_slot], bufs[scratch]
-                            )
-                    else:
-                        slots[out_slot] = self._exec_into(
-                            inst, args, arena, report, record
-                        )
-            else:
-                # General pass: per-instruction checks, and (re)warming
-                # as needed.  Invalidate the turbo signature first so an
-                # exception mid-pass can't leave a stale one pointing at
-                # half-rewarmed buffers; certify at the end.
-                arena._turbo_sig = None
-                arena._mixed = False
-                for inst in self.instructions:
-                    args = [slots[s] for s in inst.arg_slots]
-                    slots[inst.out_slot] = self._run_arena(
-                        inst, args, arena, bufs, report, record
-                    )
-                    for s in inst.free_slots:
-                        slots[s] = None
-                if not arena._mixed:
-                    arena._turbo_sig = sig
-        return [slots[s] for s in self.output_slots], report
+            for s in inst.free_slots:
+                slots[s] = None
+        if record:
+            self._reports[sig] = report
+        if arena is not None and not arena._mixed:
+            arena._turbo_sig = sig
 
     def _run_arena(self, inst, args, arena, bufs, report, record):
         """Arena dispatch: warm in-place fast path, general path otherwise.
@@ -850,68 +813,3 @@ def _rebuild_plan(payload: dict, fold_constants: bool, fusion: bool) -> Plan:
         fold_constants=fold_constants,
         fusion=fusion,
     )
-
-
-class PinnedBinding:
-    """A plan + arena + permanently bound feed arrays (see *Pinned
-    bindings* in the module docstring).
-
-    The slot table is built once and **reused across calls**: inputs
-    stay aliased at their slots, and every other slot is rewritten by
-    its producing instruction before anything reads it (the schedule
-    guarantees write-before-read within a pass), so no per-call
-    clearing is needed.  Execution is the serving path (``record=False``)
-    — outputs alias arena storage and are valid until the next call.
-    """
-
-    __slots__ = ("plan", "arena", "slots", "_sig", "_report")
-
-    def __init__(
-        self, plan: Plan, arena: PlanArena, feeds: list[np.ndarray]
-    ) -> None:
-        self.plan = plan
-        self.arena = arena
-        self.slots: list = [None] * plan.num_slots
-        for spec, arr in zip(plan.inputs, feeds):
-            self.slots[spec.slot] = arr
-        self._sig = tuple(arr.dtype for arr in feeds)
-        # One reusable report: the serving loop never records into it.
-        self._report = ExecutionReport()
-
-    def execute(self) -> list[np.ndarray]:
-        """One serving pass over the bound feeds; returns the outputs
-        (aliasing arena storage — copy what you keep)."""
-        plan = self.plan
-        arena = self.arena
-        slots = self.slots
-        bufs = arena.buffers
-        if self._sig == arena._turbo_sig:
-            for fast, out_slot, arg_slots, inst, scratch in plan._turbo_ops:
-                args = [slots[s] for s in arg_slots]
-                if fast is not None:
-                    if scratch is None:
-                        slots[out_slot] = fast(args, bufs[out_slot])
-                    else:
-                        slots[out_slot] = fast(
-                            args, bufs[out_slot], bufs[scratch]
-                        )
-                else:
-                    slots[out_slot] = plan._exec_into(
-                        inst, args, arena, self._report, False
-                    )
-        else:
-            # Warming pass: per-instruction checks, turbo certification
-            # protocol (invalidate first so a mid-pass exception can't
-            # certify half-warm buffers).
-            arena._turbo_sig = None
-            arena._mixed = False
-            for inst in plan.instructions:
-                args = [slots[s] for s in inst.arg_slots]
-                slots[inst.out_slot] = plan._run_arena(
-                    inst, args, arena, bufs, self._report, False
-                )
-            if not arena._mixed:
-                arena._turbo_sig = self._sig
-        return [slots[s] for s in plan.output_slots]
-
-    __call__ = execute

@@ -17,14 +17,15 @@ entirely:
   :meth:`~repro.runtime.plan.Plan.buffer_descriptors` — every input and
   output slot of every ring entry is a contiguous region in the slot's
   declared memory order, so the parent writes feeds *directly into the
-  shard's input slots* and workers execute with pinned bindings: feeds
-  alias shared memory, outputs land in shared memory, and steady-state
-  calls copy **zero bytes** inside the worker (the per-call
-  ``bytes_copied`` counter, surfaced per run, proves it);
+  shard's input slots*: under the plan's feed rule the ring views alias
+  into one slot list per ring entry, bound once, outputs land in shared
+  memory (pinned output slots), and steady-state calls copy **zero
+  bytes** inside the worker (the per-call ``bytes_copied`` counter,
+  surfaced per run, proves it);
 * **one wake-up per worker per wave**, not per feed: a worker receives
-  ``("run", k)``, serves ``k`` ring entries through per-entry
-  :class:`~repro.runtime.plan.PinnedBinding` s, and replies once — the
-  synchronization cost amortizes over the whole shard.
+  ``("run", k)``, runs ``k`` ring entries through the plan's arena
+  loops, and replies once — the synchronization cost amortizes over
+  the whole shard.
 
 Failure semantics
 -----------------
@@ -206,15 +207,20 @@ def _shard_worker(conn, shm_name: str, plan_blob: bytes, dtype_str: str,
         n_inputs = len(plan.inputs)
         input_slots = {spec.slot for spec in plan.inputs}
         arena = plan.new_arena()
-        bindings = []
-        ring = []
+        sig = (dtype,) * n_inputs
+        ring = []  # per ring entry: (prepared slot list, output views)
         pin_lists = []  # per ring entry: (slot, output view) to install
         out_slots = [d.slot for d in descs[n_inputs:]]
         for r in range(ring_slots):
             views = _entry_views(shm.buf, descs, offsets, r * stride)
             ins, outs = views[:n_inputs], views[n_inputs:]
-            bindings.append(plan.bind_pinned(ins, arena))
-            ring.append((ins, outs))
+            # The views are laid out in slot order, so the feed rule
+            # aliases every one of them: the slot list is bound once and
+            # the ring's contents are re-read on each run.
+            slots = [None] * plan.num_slots
+            plan._bind(ins, slots)
+            plan._stage(slots, arena)
+            ring.append((slots, outs))
             pins = [
                 (slot, view)
                 for slot, view in zip(out_slots, outs)
@@ -240,11 +246,12 @@ def _shard_worker(conn, shm_name: str, plan_blob: bytes, dtype_str: str,
                 for i in range(count):
                     if injector is not None:
                         injector.fire("worker.exec", worker=worker_index)
-                    _, outs = ring[i]
+                    slots, outs = ring[i]
                     for slot, view in pin_lists[i]:
                         bufs[slot] = view
-                    results = bindings[i].execute()
-                    for view, result in zip(outs, results):
+                    plan._run_in(arena, slots, sig)
+                    for view, s in zip(outs, plan.output_slots):
+                        result = slots[s]
                         if result is view:
                             continue
                         if result.dtype != view.dtype:
@@ -464,7 +471,7 @@ class ShardPool:
 
     def _await_ready(self, w: int) -> None:
         """Consume worker ``w``'s ready handshake (sent once after its
-        plan is built and its ring bindings are validated).  A worker
+        plan is built and its output ring views are pinned).  A worker
         dying during setup surfaces here, at construction/respawn time,
         instead of desyncing the first wave."""
         try:

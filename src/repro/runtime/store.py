@@ -1,11 +1,10 @@
 """Persistent content-addressed plan store — cross-run warm starts.
 
 The in-process :class:`~repro.runtime.cache.PlanCache` dedupes traces
-*within* a run; :mod:`repro.runtime.persist` proved the same signatures
-recur *across* runs and priced the recompiles.  This module closes that
-loop: compiled plans are persisted as versioned on-disk artifacts, so a
-cold ``Session`` (or a freshly spawned shard worker) rebuilds a plan
-from the store instead of re-deriving it.
+*within* a run; the same signatures recur *across* runs.  This module
+persists compiled plans as versioned on-disk artifacts, so a cold
+``Session`` (or a freshly spawned shard worker) rebuilds a plan from
+the store instead of re-deriving it.
 
 What an artifact is
 -------------------
@@ -18,7 +17,7 @@ bench workload is ~3/4 of a cold build.  Artifacts are addressed two
 ways:
 
 * ``objects/<digest>-<fold><fuse>.plan`` — the canonical artifact,
-  keyed by :func:`~repro.runtime.persist.signature_digest` of the
+  keyed by :func:`signature_digest` of the
   *optimized* graph's signature (exactly the :class:`PlanCache` key),
   holding a header (format version, runtime fingerprint, knobs, the
   creator's build cost) and the structural payload with large ndarray
@@ -56,13 +55,13 @@ import os
 import pickle
 import threading
 import time
+from typing import Any
 
 import numpy as np
 
 from .. import faults
 from ..ir.graph import Graph
 from .compiler import compile_plan
-from .persist import signature_digest
 from .plan import Plan
 from .serialize import (
     PAYLOAD_VERSION,
@@ -76,6 +75,34 @@ from .signature import graph_signature
 __all__ = ["PlanStore", "StoreStats", "GCStats", "runtime_fingerprint",
            "STORE_FORMAT_VERSION", "DEFAULT_MMAP_THRESHOLD",
            "DEFAULT_GC_GRACE_SECONDS"]
+
+def _canonical(value: Any) -> Any:
+    """Process-independent form of one signature component.
+
+    Signatures are nested tuples of primitives — except the property-
+    annotation *frozensets*, whose iteration (and hence ``repr``) order
+    follows per-process hash randomization.  Sorting their elements by
+    canonical repr makes the digest identical across runs.
+    """
+    if isinstance(value, tuple):
+        return tuple(_canonical(v) for v in value)
+    if isinstance(value, frozenset):
+        return ("frozenset",) + tuple(
+            sorted(repr(_canonical(v)) for v in value)
+        )
+    return value
+
+
+def signature_digest(signature: tuple) -> str:
+    """Stable hex digest of a structural plan signature.
+
+    ndarray payloads are already reduced to content digests inside the
+    signature (see :mod:`repro.runtime.signature`) and set-valued attrs
+    are canonicalized here, so equal signatures digest equally in every
+    process and across runs.
+    """
+    return hashlib.sha1(repr(_canonical(signature)).encode()).hexdigest()
+
 
 #: Artifact layout version — bumped on any change to the on-disk shape.
 STORE_FORMAT_VERSION = 1

@@ -3,7 +3,7 @@
 The redesign reworked ``frameworks.common.CompiledFunction`` into a thin
 shim over ``repro.api``; these tests pin that the shim is *bit-identical*
 to the PR-1 behaviour — outputs and ``ExecutionReport`` s — and that the
-deprecation of ``default_plan_cache`` fires exactly once.
+internal default-cache accessor stays warning-free.
 """
 
 from __future__ import annotations
@@ -147,45 +147,8 @@ class TestShimSurface:
         assert f.last_report is not None
         assert f.profile is TF_PROFILE
 
-    def test_no_production_default_plan_cache_imports(self):
-        """Acceptance criterion: no production call site of
-        ``default_plan_cache`` outside the deprecation shim itself."""
-        import pathlib
-        import re
-
-        src = pathlib.Path(__file__).resolve().parents[1] / "src"
-        offenders = []
-        for path in src.rglob("*.py"):
-            if path.name == "cache.py" and path.parent.name == "runtime":
-                continue  # the shim's home
-            text = path.read_text()
-            for lineno, line in enumerate(text.splitlines(), 1):
-                if re.search(r"\bdefault_plan_cache\b", line) and \
-                        "_default_plan_cache" not in line:
-                    # the runtime package re-export stays (API surface)
-                    if path.name == "__init__.py" and \
-                            path.parent.name == "runtime":
-                        continue
-                    offenders.append(f"{path}:{lineno}: {line.strip()}")
-        assert not offenders, "\n".join(offenders)
-
 
 class TestDeprecation:
-    def test_default_plan_cache_warns_exactly_once(self, monkeypatch):
-        from repro.runtime import cache as cache_module
-        from repro.runtime import default_plan_cache
-
-        monkeypatch.setattr(cache_module, "_deprecation_warned", False)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            first = default_plan_cache()
-            second = default_plan_cache()
-        assert first is second is cache_module._default_plan_cache()
-        deprecations = [w for w in caught
-                        if issubclass(w.category, DeprecationWarning)]
-        assert len(deprecations) == 1
-        assert "Session" in str(deprecations[0].message)
-
     def test_internal_accessor_never_warns(self):
         from repro.runtime import cache as cache_module
 

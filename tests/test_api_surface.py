@@ -83,7 +83,7 @@ class TestPublicExports:
                            "default_session", "SessionStats", "PlanStats"]),
             ("repro.runtime", ["Plan", "PlanCache", "CacheStats",
                                "compile_plan", "execute_batch",
-                               "graph_signature", "default_plan_cache"]),
+                               "graph_signature"]),
             ("repro.bench", ["measure", "bootstrap_compare", "TimingSample",
                              "ExperimentTable", "format_seconds"]),
         ],

@@ -12,7 +12,7 @@ import pytest
 
 from repro.frameworks import pytsim, tfsim
 from repro.ir import Graph, builder, trace
-from repro.runtime import PlanCache, default_plan_cache, graph_signature
+from repro.runtime import PlanCache, graph_signature
 from repro.tensor import random_general
 from repro.tensor.properties import Property
 
@@ -307,7 +307,11 @@ class TestFrameworkIntegration:
         assert plan_tf is plan_pyt
 
     def test_default_cache_is_processwide(self):
-        assert default_plan_cache() is default_plan_cache()
+        from repro import api
+        from repro.runtime import cache as cache_module
+
+        assert api.default_session().plan_cache is \
+            cache_module._default_plan_cache()
 
     def test_call_results_unchanged_by_cache_hits(self, operands):
         @tfsim.function

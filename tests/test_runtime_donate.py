@@ -1,10 +1,11 @@
-"""Zero-copy feed donation (Plan.execute(donate=...) / Options(donate_feeds=)).
+"""Feed aliasing: the arena's one feed rule.
 
-The contract under test: donating already-Fortran-ordered feeds aliases
-them into the arena's input slots — no staging memcpys, no allocations,
-bit-identical outputs — while a feed that fails the layout check raises
-a clear ``ValueError`` naming the input (strict mode) or is copied
-(``"fallback"`` mode).
+The contract under test: in arena mode a feed that is contiguous in its
+input slot's declared order is aliased into the slot table — no staging
+memcpys, no allocations, bit-identical outputs — and any other feed is
+staged (copied into the arena's input buffer).  Aliased feeds are read,
+never mutated, and a feed backed by the arena's own output storage is
+staged, because the run may overwrite it before reading it.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 import pytest
 
 from repro import api
-from repro.errors import ConfigError, GraphError
+from repro.errors import ConfigError
 from repro.ir import trace
 from repro.passes import default_pipeline
 from repro.runtime import compile_plan, execute_batch
@@ -62,8 +63,7 @@ class TestPlanDonation:
         ref, _ = plan.execute(feeds, record=False)
         feeds_f = [np.asfortranarray(f) for f in feeds]
         for _ in range(3):
-            outs, _ = plan.execute(feeds_f, record=False, arena=arena,
-                                   donate=True)
+            outs, _ = plan.execute(feeds_f, record=False, arena=arena)
             assert outs[0].tobytes() == ref[0].tobytes()
         # The aliasing is real: no bytes were staged, and no arena buffer
         # was ever materialized for the input slots.
@@ -77,18 +77,19 @@ class TestPlanDonation:
         arena = plan.new_arena()
         feeds_f = [np.asfortranarray(f) for f in feeds]
         for _ in range(3):
-            plan.execute(feeds_f, record=False, arena=arena, donate=True)
+            plan.execute(feeds_f, record=False, arena=arena)
         warm = arena.allocations
         peak = _alloc_peak(
-            lambda: plan.execute(feeds_f, record=False, arena=arena,
-                                 donate=True)
+            lambda: plan.execute(feeds_f, record=False, arena=arena)
         )
-        assert peak < feeds[0].nbytes, f"donated execution allocated: {peak}"
+        assert peak < feeds[0].nbytes, f"aliased execution allocated: {peak}"
         assert arena.allocations == warm
-        # ...and strictly: zero ndarray *data* allocations survive.
+        # ...and strictly: zero ndarray *data* allocations survive, with
+        # and without the (stored) report.
         tracemalloc.start()
         for _ in range(10):
-            plan.execute(feeds_f, record=False, arena=arena, donate=True)
+            plan.execute(feeds_f, record=False, arena=arena)
+            plan.execute(feeds_f, arena=arena)
         snap = tracemalloc.take_snapshot().filter_traces(
             [tracemalloc.DomainFilter(
                 inclusive=True, domain=np.lib.tracemalloc_domain)]
@@ -96,35 +97,37 @@ class TestPlanDonation:
         tracemalloc.stop()
         assert sum(s.size for s in snap.statistics("lineno")) == 0
 
-    def test_c_ordered_feed_raises_naming_the_input(self, workload):
-        graph, feeds = workload
-        plan = compile_plan(graph)
-        arena = plan.new_arena()
-        bad = [np.asfortranarray(f) for f in feeds]
-        bad[1] = np.ascontiguousarray(feeds[1])  # C-ordered: fails the check
-        with pytest.raises(ValueError, match=plan.inputs[1].name):
-            plan.execute(bad, record=False, arena=arena, donate=True)
-        with pytest.raises(ValueError, match="Fortran-contiguous"):
-            plan.execute(bad, record=False, arena=arena, donate=True)
-
     def test_fallback_copies_rejected_layouts(self, workload):
         graph, feeds = workload
         plan = compile_plan(graph, fusion=True)
         arena = plan.new_arena()
         ref, _ = plan.execute(feeds, record=False)
         mixed = [np.asfortranarray(feeds[0]), feeds[1], feeds[2]]
-        outs, _ = plan.execute(mixed, record=False, arena=arena,
-                               donate="fallback")
+        outs, _ = plan.execute(mixed, record=False, arena=arena)
         assert outs[0].tobytes() == ref[0].tobytes()
         # Exactly the two C-ordered feeds were staged; the F one aliased.
         assert arena.bytes_copied == feeds[1].nbytes + feeds[2].nbytes
         assert arena.buffers[plan.inputs[0].slot] is None
 
-    def test_donate_requires_arena(self, workload):
+    def test_output_fed_back_is_staged(self, workload):
+        """Iterating ``x = plan(x)`` through one arena: the output is
+        arena storage the next run overwrites, so it must be staged even
+        though its layout matches."""
         graph, feeds = workload
-        plan = compile_plan(graph)
-        with pytest.raises(GraphError, match="arena"):
-            plan.execute(feeds, donate=True)
+        plan = compile_plan(graph, fusion=True)
+        arena = plan.new_arena()
+        out_slot = plan.output_slots[0]
+        x_ref = x = np.asfortranarray(feeds[0])
+        for _ in range(3):
+            (x_ref,), _ = plan.execute([x_ref, *feeds[1:]], record=False)
+            before = arena.bytes_copied
+            (x,), _ = plan.execute([x, *feeds[1:]], record=False,
+                                   arena=arena)
+            assert x is arena.buffers[out_slot]
+            assert x.tobytes() == x_ref.tobytes()
+        assert arena.bytes_copied - before == (
+            x.nbytes + feeds[1].nbytes + feeds[2].nbytes
+        )
 
     def test_donated_record_mode_keeps_report_parity(self, workload):
         graph, feeds = workload
@@ -132,9 +135,9 @@ class TestPlanDonation:
         _, rep_ref = plan.execute(feeds)
         arena = plan.new_arena()
         feeds_f = [np.asfortranarray(f) for f in feeds]
-        _, rep = plan.execute(feeds_f, arena=arena, donate=True)
-        assert rep.calls == rep_ref.calls
-        assert rep.peak_bytes == rep_ref.peak_bytes
+        for _ in range(2):  # the warming (recording) pass, then turbo
+            _, rep = plan.execute(feeds_f, arena=arena)
+            assert rep == rep_ref
 
     def test_donated_feeds_are_read_not_mutated(self, workload):
         graph, feeds = workload
@@ -143,7 +146,7 @@ class TestPlanDonation:
         feeds_f = [np.asfortranarray(f) for f in feeds]
         before = [f.copy() for f in feeds_f]
         for _ in range(2):
-            plan.execute(feeds_f, record=False, arena=arena, donate=True)
+            plan.execute(feeds_f, record=False, arena=arena)
         for f, b in zip(feeds_f, before):
             assert f.tobytes() == b.tobytes()
 
@@ -154,25 +157,18 @@ class TestBatchDonation:
         plan = compile_plan(graph, fusion=True)
         feeds_f = [np.asfortranarray(f) for f in feeds]
         ref = execute_batch(plan, [feeds] * 4)
-        res = execute_batch(plan, [feeds_f] * 4, arena="preallocated",
-                            donate_feeds=True)
+        res = execute_batch(plan, [feeds_f] * 4, arena="preallocated")
         for a, b in zip(ref.outputs, res.outputs):
             assert a[0].tobytes() == b[0].tobytes()
-
-    def test_batch_donation_requires_arena(self, workload):
-        graph, feeds = workload
-        plan = compile_plan(graph)
-        with pytest.raises(GraphError, match="preallocated"):
-            execute_batch(plan, [feeds], donate_feeds=True)
 
 
 class TestSessionDonation:
     def test_options_gate(self):
-        with pytest.raises(ConfigError, match="preallocated"):
-            api.Options(donate_feeds=True).validate()
+        """The feed rule replaced the donation knob: asking for it fails
+        loudly instead of being silently ignored."""
         with pytest.raises(ConfigError, match="donate_feeds"):
-            api.Options(arena="preallocated", donate_feeds="bogus").validate()
-        api.Options(arena="preallocated", donate_feeds="fallback").validate()
+            api.Options().replace(arena="preallocated", donate_feeds=True)
+        api.Options().replace(arena="preallocated")
 
     def test_session_donated_run_matches_plain(self):
         a = Tensor(np.asfortranarray(random_general(16, seed=1).data))
@@ -180,26 +176,9 @@ class TestSessionDonation:
         fn = lambda p, q: (p @ q + p).T @ q  # noqa: E731
         with api.Session() as plain:
             ref = plain.run(fn, a, b)
-        with api.Session(fusion=True, arena="preallocated",
-                         donate_feeds=True) as s:
+        with api.Session(fusion=True, arena="preallocated") as s:
+            f = s.compile(fn)
             for _ in range(3):
-                out = s.run(fn, a, b)
+                out = f(a, b)
                 assert out.data.tobytes() == ref.data.tobytes()
-            assert "donated feeds (strict)" in s.stats().render()
-
-    def test_session_strict_donation_rejects_c_ordered(self):
-        a = random_general(16, seed=1)  # C-ordered tensor data
-        b = random_general(16, seed=2)
-        with api.Session(arena="preallocated", donate_feeds=True) as s:
-            with pytest.raises(ValueError, match="Fortran-contiguous"):
-                s.run(lambda p, q: p @ q, a, b)
-
-    def test_validation_full_softens_to_fallback(self):
-        a = random_general(16, seed=1)
-        b = random_general(16, seed=2)
-        with api.Session() as plain:
-            ref = plain.run(lambda p, q: p @ q, a, b)
-        with api.Session(arena="preallocated", donate_feeds=True,
-                         validation="full") as s:
-            out = s.run(lambda p, q: p @ q, a, b)
-            assert out.data.tobytes() == ref.data.tobytes()
+            assert f.get_concrete(a, b).arena.bytes_copied == 0

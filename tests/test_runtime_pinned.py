@@ -1,21 +1,21 @@
-"""Pinned storage: PinnedBinding, Plan.pin_slot/arena.install, per-slot
-layout orders, and the Session.pin / Options(pin=True) fast path.
+"""Pinned storage: feeds allocated in slot layout, Plan.pin_slot/
+arena.install, per-slot layout orders, and Session.pin.
 
 Contracts under test:
 
-* ``Plan.bind_pinned`` validates feed count/shape/layout once and the
-  binding then executes bit-identically to ``plan.execute`` — with the
-  bound arrays' *contents* re-read every call (rewrite in place, call
+* Feeds allocated in their input slots' layout (what ``Session.pin``
+  and the shard rings hand out) bind by aliasing: arena execution is
+  bit-identical to per-call ``plan.execute``, copies zero bytes, and
+  re-reads the arrays' *contents* every call (rewrite in place, call
   again, get new results).
 * ``Plan.pin_slot`` backs an arena slot with caller-owned storage;
   instructions write the slot's value straight into it, and a pinned
   slot refuses to be silently reallocated away.
 * The compiler's per-slot memory orders: BLAS destinations stay "F",
-  tridiagonal destinations/operands go "C", and donation checks feeds
-  against the slot's declared order.
-* ``Session.pin`` + ``Options(pin=True)``: repeated same-identity calls
-  ride one cached binding; a new identity rebinds; results always match
-  the unpinned session.
+  tridiagonal destinations/operands go "C", and the feed rule checks
+  feeds against the slot's declared order.
+* ``Session.pin`` under ``arena="preallocated"``: pinned tensors alias,
+  other layouts are staged; results always match the per-call session.
 """
 
 from __future__ import annotations
@@ -71,51 +71,54 @@ class TestPinnedBinding:
         graph, feeds = _dispatch_workload()
         plan = compile_plan(graph, fusion=True)
         ref, _ = plan.execute(feeds)
-        binding = plan.bind_pinned(
-            _ordered_feeds(plan, feeds), plan.new_arena()
-        )
+        arena = plan.new_arena()
+        bound = _ordered_feeds(plan, feeds)
         for _ in range(3):  # warming pass + turbo passes
-            outs = binding.execute()
+            outs, _ = plan.execute(bound, arena=arena, record=False)
             for a, b in zip(outs, ref):
                 assert np.array_equal(a, b)
+        assert arena.bytes_copied == 0
 
     def test_contents_reread_each_call(self):
         graph, feeds = _dispatch_workload()
         plan = compile_plan(graph, fusion=True)
+        arena = plan.new_arena()
         bound = _ordered_feeds(plan, feeds)
-        binding = plan.bind_pinned(bound, plan.new_arena())
-        binding.execute()
+        plan.execute(bound, arena=arena, record=False)
         new_feeds = [np.asfortranarray(f * 2.0) for f in feeds]
         for dst, src in zip(bound, new_feeds):
             np.copyto(dst, src)
         ref, _ = plan.execute(new_feeds)
-        outs = binding.execute()
+        outs, _ = plan.execute(bound, arena=arena, record=False)
         assert np.array_equal(outs[0], ref[0])
 
     def test_structured_binding_parity(self):
         graph, feeds = _structured_workload()
         plan = compile_plan(graph, fusion=True)
         interp_out, _ = Interpreter(record=False).run(graph, feeds)
-        binding = plan.bind_pinned(
-            _ordered_feeds(plan, feeds), plan.new_arena()
-        )
-        binding.execute()
-        assert np.array_equal(binding.execute()[0], interp_out[0])
+        arena = plan.new_arena()
+        bound = _ordered_feeds(plan, feeds)
+        plan.execute(bound, arena=arena, record=False)
+        outs, _ = plan.execute(bound, arena=arena, record=False)
+        assert np.array_equal(outs[0], interp_out[0])
+        assert arena.bytes_copied == 0
 
     def test_validation(self):
         graph, feeds = _dispatch_workload()
         plan = compile_plan(graph, fusion=True)
         arena = plan.new_arena()
         with pytest.raises(GraphError, match="inputs"):
-            plan.bind_pinned(feeds[:2], arena)
+            plan.execute(feeds[:2], arena=arena)
         bad_shape = [np.ones((3, 3), dtype=np.float32), *feeds[1:]]
         with pytest.raises(GraphError, match="shape"):
-            plan.bind_pinned(bad_shape, arena)
-        # Dispatch inputs are all F slots; C-only arrays fail the layout
-        # check by name.
+            plan.execute(bad_shape, arena=arena)
+        # Dispatch inputs are all F slots; C-only arrays are staged, not
+        # rejected.
         c_ordered = [np.ascontiguousarray(f) for f in feeds]
-        with pytest.raises(ValueError, match="contiguous"):
-            plan.bind_pinned(c_ordered, arena)
+        ref, _ = plan.execute(feeds)
+        outs, _ = plan.execute(c_ordered, arena=arena)
+        assert np.array_equal(outs[0], ref[0])
+        assert arena.bytes_copied == sum(f.nbytes for f in c_ordered)
 
 
 class TestSlotOrdersAndPinning:
@@ -146,20 +149,18 @@ class TestSlotOrdersAndPinning:
         arena = plan.new_arena()
         ordered = _ordered_feeds(plan, feeds)
         out_ref, _ = plan.execute(feeds, record=False)
-        outs, _ = plan.execute(ordered, record=False, arena=arena,
-                               donate=True)
+        outs, _ = plan.execute(ordered, record=False, arena=arena)
         assert np.array_equal(outs[0], out_ref[0])
         before = arena.bytes_copied
-        plan.execute(ordered, record=False, arena=arena, donate=True)
+        plan.execute(ordered, record=False, arena=arena)
         assert arena.bytes_copied == before
-        # The tridiagonal RHS slot is C-ordered: an F-only array fails
-        # strict donation with the C hint.
+        # The tridiagonal RHS slot is C-ordered: an F-only array is
+        # staged into it, and only that feed is copied.
         wrong = list(ordered)
-        b_spec = plan.inputs[2]
         wrong[2] = np.asfortranarray(feeds[2])
-        with pytest.raises(ValueError, match="C-contiguous"):
-            plan.execute(wrong, record=False, arena=arena, donate=True)
-        del b_spec
+        outs, _ = plan.execute(wrong, record=False, arena=arena)
+        assert np.array_equal(outs[0], out_ref[0])
+        assert arena.bytes_copied == before + wrong[2].nbytes
 
     def test_pin_slot_writes_through_external_buffer(self):
         graph, feeds = _dispatch_workload()
@@ -214,12 +215,14 @@ class TestSlotOrdersAndPinning:
 
 class TestSessionPin:
     def test_options_validation(self):
+        """Pinned tensors alias under the feed rule; the old opt-in knob
+        is refused instead of silently ignored."""
         with pytest.raises(ConfigError, match="pin"):
-            api.Options(pin=True).validate()
-        api.Options(pin=True, arena="preallocated").validate()
+            api.Options().replace(arena="preallocated", pin=True)
+        api.Options().replace(arena="preallocated")
 
     def test_pin_registry(self):
-        with api.Session(arena="preallocated", pin=True) as s:
+        with api.Session(arena="preallocated") as s:
             t1 = s.pin("x", (8, 8))
             t2 = s.pin("x", (8, 8))
             assert t1 is t2
@@ -237,7 +240,7 @@ class TestSessionPin:
         with api.Session(fusion=True, arena="preallocated") as plain:
             ref = plain.run(plain.compile(fn), A, B, C)
 
-        with api.Session(fusion=True, arena="preallocated", pin=True) as s:
+        with api.Session(fusion=True, arena="preallocated") as s:
             f = s.compile(fn)
             a = s.pin("a", (16, 16))
             b = s.pin("b", (16, 16))
@@ -246,10 +249,9 @@ class TestSessionPin:
             np.copyto(b.data, B.data)
             np.copyto(c.data, C.data)
             r1 = f(a, b, c)
-            r2 = f(a, b, c)  # steady state: cached binding
-            concrete = f.get_concrete(a, b, c)
-            assert concrete.pinned_binding is not None
-            binding = concrete.pinned_binding
+            r2 = f(a, b, c)  # steady state: the turbo loop
+            arena = f.get_concrete(a, b, c).arena
+            assert arena.bytes_copied == 0  # pins alias, never staged
             assert np.array_equal(r1.data, ref.data)
             assert np.array_equal(r2.data, ref.data)
             # In-place rewrite flows into the next call.
@@ -257,36 +259,29 @@ class TestSessionPin:
             with api.Session(fusion=True, arena="preallocated") as plain:
                 ref2 = plain.run(plain.compile(fn), C, B, C)
             assert np.array_equal(f(a, b, c).data, ref2.data)
-            assert concrete.pinned_binding is binding  # no rebind
+            assert arena.bytes_copied == 0
 
     def test_identity_change_rebinds(self):
+        """The rule is decided per call: new feed objects bind afresh, and
+        an F pin and a C tensor can alternate through one arena."""
         A, B = random_general(8, seed=1), random_general(8, seed=2)
 
         def fn(a, b):
             return a @ b
 
-        with api.Session(fusion=True, arena="preallocated", pin=True) as s:
+        with api.Session(fusion=True, arena="preallocated") as s:
             f = s.compile(fn)
-            r1 = f(A, B)
-            concrete = f.get_concrete(A, B)
-            first = concrete.pinned_binding
+            pa = s.pin("a", (8, 8))
+            np.copyto(pa.data, A.data)
+            r1 = f(pa, B)
+            arena = f.get_concrete(pa, B).arena
+            staged = arena.bytes_copied
+            assert staged == B.data.nbytes  # only the C-ordered B
             other = random_general(8, seed=3)
             r2 = f(other, B)
-            assert concrete.pinned_binding is not first or \
-                concrete.pinned_key != tuple(map(id, [A.data, B.data]))
+            assert arena.bytes_copied == staged + 2 * B.data.nbytes
             assert np.array_equal(r1.data, (A @ B).data)
             assert np.array_equal(r2.data, (other @ B).data)
-
-    def test_strict_donation_surfaces_layout_error(self):
-        A, B = random_general(8, seed=1), random_general(8, seed=2)
-
-        with api.Session(fusion=True, arena="preallocated", pin=True,
-                         donate_feeds=True) as s:
-            f = s.compile(lambda a, b: a @ b + a)
-            # Tensor data is C-ordered against F slots: under *strict*
-            # donation the pinned path must raise, not silently copy.
-            with pytest.raises(ValueError, match="contiguous"):
-                f(A, B)
 
     def test_non_contiguous_feed_falls_back_correctly(self):
         A, B = random_general(8, seed=1), random_general(8, seed=2)
@@ -294,10 +289,10 @@ class TestSessionPin:
         def fn(a, b):
             return a @ b + a
 
-        with api.Session(fusion=True, arena="preallocated", pin=True) as s:
+        with api.Session(fusion=True, arena="preallocated") as s:
             f = s.compile(fn)
             # Tensors wrap ascontiguousarray'd data, so feeds here are
-            # C-ordered against F slots: the pinned path must fall back
-            # to fallback-donation and stay correct.
+            # C-ordered against F slots: the rule stages them and stays
+            # correct.
             r = f(A, B)
             assert np.array_equal(r.data, (A @ B + A).data)

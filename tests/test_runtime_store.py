@@ -47,8 +47,8 @@ from repro.runtime import (
     runtime_fingerprint,
 )
 from repro.runtime.serialize import join_payload_consts, split_payload_consts
-from repro.runtime.store import STORE_FORMAT_VERSION
-from repro.tensor import random_general
+from repro.runtime.store import STORE_FORMAT_VERSION, signature_digest
+from repro.tensor import Property, random_general
 
 HAVE_FORK = "fork" in multiprocessing.get_all_start_methods()
 
@@ -96,6 +96,34 @@ def _corrupt(path: str, blob: bytes) -> None:
 
 
 # -- fingerprint ---------------------------------------------------------------
+
+
+def _scaled(scale=2.0):
+    ops = [random_general(8, seed=1), random_general(8, seed=2)]
+    return trace(lambda a, b: scale * (a @ b) + a, ops)
+
+
+class TestSignatureDigest:
+    def test_equal_signatures_equal_digests(self):
+        s1 = compile_plan(_scaled()).signature
+        s2 = compile_plan(_scaled()).signature
+        assert s1 == s2
+        assert signature_digest(s1) == signature_digest(s2)
+
+    def test_different_graphs_differ(self):
+        s1 = compile_plan(_scaled(scale=2.0)).signature
+        s2 = compile_plan(_scaled(scale=3.0)).signature
+        assert signature_digest(s1) != signature_digest(s2)
+
+    def test_frozenset_order_independent(self):
+        # Property sets iterate in hash-randomized order; the digest must
+        # not depend on it (this is what makes digests stable across
+        # interpreter invocations).
+        a = ("x", frozenset({Property.SPD, Property.SYMMETRIC,
+                             Property.SQUARE}))
+        b = ("x", frozenset({Property.SQUARE, Property.SYMMETRIC,
+                             Property.SPD}))
+        assert signature_digest(a) == signature_digest(b)
 
 
 class TestRuntimeFingerprint:
